@@ -2,10 +2,9 @@
 //!
 //! Runs the actual runtime — not a micro-benchmark — over the paper-default
 //! and two-service scenarios twice each: once on the legacy cold path
-//! ([`PerfConfig::cold`]: spawn-per-quantum threads, cold-started SGD,
-//! uncached evaluations) and once on the fast path ([`PerfConfig::fast`]:
-//! persistent worker pool, warm-started reconstruction, per-quantum DDS
-//! evaluation cache). Per-stage wall times come from the pipeline's own
+//! ([`PerfConfig::cold`]: spawn-per-quantum threads, cold-started SGD)
+//! and once on the fast path ([`PerfConfig::fast`]: persistent worker pool,
+//! warm-started reconstruction). Per-stage wall times come from the pipeline's own
 //! [`StageTelemetry`], aggregated as mean/p99 over the steady-state quanta
 //! (the first quantum is cold on every path and is excluded).
 //!
@@ -71,7 +70,6 @@ fn stat(values: &mut [f64]) -> StageStat {
 /// One measured run of a scenario under one perf configuration.
 struct PathMetrics {
     stages: Vec<(&'static str, StageStat)>,
-    cache_hit_rate: f64,
     warm_solves: usize,
     /// Mean reconstruct + search wall time — the compute the tentpole
     /// optimizations target, and the speedup's numerator/denominator.
@@ -103,16 +101,8 @@ fn measure(scenario: &Scenario, perf: PerfConfig) -> PathMetrics {
         .zip(&mut columns)
         .map(|(name, col)| (*name, stat(col)))
         .collect();
-    let hits: usize = tels.iter().map(|t| t.cache_hits).sum();
-    let misses: usize = tels.iter().map(|t| t.cache_misses).sum();
-    let total = hits + misses;
     PathMetrics {
         stages,
-        cache_hit_rate: if total == 0 {
-            0.0
-        } else {
-            hits as f64 / total as f64
-        },
         warm_solves: tels.iter().map(|t| t.warm_solves).sum(),
         reconstruct_search_mean,
     }
@@ -276,10 +266,6 @@ fn main() -> ExitCode {
         table.print();
         match args.profile {
             Some("search") => {
-                // The search-only gate still reports the cache hit rate:
-                // the per-quantum evaluation cache is the fast path's main
-                // search-side lever, so a hit-rate collapse explains a
-                // search-mean regression.
                 let (_, cold_s) = &cold.stages[3];
                 let (_, fast_s) = &fast.stages[3];
                 let speedup = if fast_s.mean > 0.0 {
@@ -288,29 +274,23 @@ fn main() -> ExitCode {
                     0.0
                 };
                 println!(
-                    "{name}: search {:.3} ms -> {:.3} ms ({:.2}x), cache hit rate {:.1}%",
-                    cold_s.mean,
-                    fast_s.mean,
-                    speedup,
-                    100.0 * fast.cache_hit_rate
+                    "{name}: search {:.3} ms -> {:.3} ms ({:.2}x)",
+                    cold_s.mean, fast_s.mean, speedup
                 );
                 metrics.push((format!("{name}.speedup_search"), speedup));
-                metrics.push((format!("{name}.fast.cache_hit_rate"), fast.cache_hit_rate));
             }
             Some(_) => {}
             None => {
                 let speedup = cold.reconstruct_search_mean / fast.reconstruct_search_mean;
                 println!(
                     "{name}: reconstruct+search {:.3} ms -> {:.3} ms ({:.2}x), \
-                     cache hit rate {:.1}%, {} warm solves",
+                     {} warm solves",
                     cold.reconstruct_search_mean,
                     fast.reconstruct_search_mean,
                     speedup,
-                    100.0 * fast.cache_hit_rate,
                     fast.warm_solves
                 );
                 metrics.push((format!("{name}.speedup_reconstruct_search"), speedup));
-                metrics.push((format!("{name}.fast.cache_hit_rate"), fast.cache_hit_rate));
                 metrics.push((format!("{name}.fast.warm_solves"), fast.warm_solves as f64));
             }
         }

@@ -837,24 +837,6 @@ mod tests {
         ));
     }
 
-    /// Zeroes the wall-clock stage timings (and the cache counters that
-    /// track wall-clock-budgeted work) so records compare on simulated
-    /// quantities only — the same convention as `tests/determinism.rs`.
-    fn comparable(mut r: RunRecord) -> RunRecord {
-        for s in r.slices.iter_mut() {
-            if let Some(t) = s.telemetry.as_mut() {
-                t.profile_wall_ms = 0.0;
-                t.reconstruct_wall_ms = 0.0;
-                t.qos_wall_ms = 0.0;
-                t.search_wall_ms = 0.0;
-                t.repair_wall_ms = 0.0;
-                t.cache_hits = 0;
-                t.cache_misses = 0;
-            }
-        }
-        r
-    }
-
     #[test]
     fn stepping_matches_run_scenario_bit_for_bit() {
         let s = Scenario::quick_demo();
@@ -863,7 +845,7 @@ mod tests {
         while !core.is_done() {
             core.step_quantum().unwrap();
         }
-        assert_eq!(comparable(core.into_record()), comparable(expected));
+        assert_eq!(core.into_record().comparable(), expected.comparable());
     }
 
     #[test]

@@ -32,7 +32,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use baselines::ga::{ga_search, GaParams};
-use dds::{parallel_search_in, CachedObjective, ParallelDdsParams, SearchSpace, SoftPenalty};
+use dds::{parallel_search, Objective, ParallelDdsParams, SearchSpace};
 use recsys::{Reconstructor, WarmStartConfig};
 use simulator::{CacheAlloc, CoreConfig, JobConfig, NUM_JOB_CONFIGS};
 use util::WorkerPool;
@@ -770,43 +770,97 @@ pub enum SearchAlgo {
     Ga(GaParams),
 }
 
-/// §VI-A: the soft power/cache penalty objective over the batch dimensions,
-/// explored by DDS or a GA.
+/// LLC associativity: the search's way budget (the paper's `maxWays`).
+const MAX_WAYS: f64 = 32.0;
+/// Soft-penalty weight per Watt and per way of excess (Fig. 6).
+const PENALTY_WEIGHT: f64 = 2.0;
+
+/// §VI-A's soft-penalty objective over the active batch jobs, scored from
+/// flat tables built once per quantum:
+///
+/// ```text
+/// objective(x) = exp(mean ln BIPS) − 2 · max(0, Power − cap) − 2 · max(0, Ways − 32)
+/// ```
+///
+/// An evaluation is table loads and adds plus one `exp`. The sums run in
+/// slot order, so every score has the same bits as a closure-form
+/// [`dds::SoftPenalty`] taking one `ln` per job per evaluation
+/// (`tests/properties.rs` pins this).
+#[derive(Debug)]
+pub struct PenaltyTables {
+    /// `ln(max(bips, 1e-9))`, indexed `[slot * NUM_JOB_CONFIGS + c]`.
+    ln_bips: Vec<f64>,
+    /// Predicted per-core Watts, same indexing.
+    watts: Vec<f64>,
+    /// LLC ways of each configuration index.
+    ways: Vec<f64>,
+    num_active: f64,
+    base_watts: f64,
+    lc_ways: f64,
+    cap_watts: f64,
+}
+
+impl PenaltyTables {
+    /// Tabulates the objective for the batch jobs in `active` (slot `s` is
+    /// job `active[s]`): `base_watts` is the power outside the batch cores,
+    /// `lc_ways` the ways already held by LC tenants.
+    pub fn new(
+        batch_bips: &[Vec<f64>],
+        batch_watts: &[Vec<f64>],
+        active: &[usize],
+        base_watts: f64,
+        lc_ways: f64,
+        cap_watts: f64,
+    ) -> PenaltyTables {
+        let rows = |m: &[Vec<f64>], f: fn(f64) -> f64| -> Vec<f64> {
+            active
+                .iter()
+                .flat_map(|&j| m[j][..NUM_JOB_CONFIGS].iter().map(move |&v| f(v)))
+                .collect()
+        };
+        PenaltyTables {
+            ln_bips: rows(batch_bips, |b| b.max(1e-9).ln()),
+            watts: rows(batch_watts, |w| w),
+            ways: (0..NUM_JOB_CONFIGS)
+                .map(|c| JobConfig::from_index(c).cache.ways())
+                .collect(),
+            num_active: active.len() as f64,
+            base_watts,
+            lc_ways,
+            cap_watts,
+        }
+    }
+}
+
+impl Objective for PenaltyTables {
+    fn evaluate(&self, x: &[usize]) -> f64 {
+        let per_slot = |table: &[f64]| {
+            table
+                .chunks_exact(NUM_JOB_CONFIGS)
+                .zip(x)
+                .map(|(row, &c)| row[c])
+                .sum::<f64>()
+        };
+        let benefit = (per_slot(&self.ln_bips) / self.num_active).exp();
+        let power = self.base_watts + per_slot(&self.watts);
+        let ways = self.lc_ways + x.iter().map(|&c| self.ways[c]).sum::<f64>();
+        let power_excess = (power - self.cap_watts).max(0.0);
+        let cache_excess = (ways - MAX_WAYS).max(0.0);
+        benefit - PENALTY_WEIGHT * power_excess - PENALTY_WEIGHT * cache_excess
+    }
+}
+
+/// Stage 4: the soft power/cache penalty objective over the batch
+/// dimensions, explored by DDS or a GA.
 pub struct PenaltySearch {
     /// The exploration algorithm.
     pub algo: SearchAlgo,
-    pool: Option<Arc<WorkerPool>>,
-    cache_evaluations: bool,
 }
 
 impl PenaltySearch {
-    /// Wraps a search algorithm choice. DDS spawns its own threads and
-    /// evaluates uncached; see [`PenaltySearch::with_pool`] and
-    /// [`PenaltySearch::with_evaluation_cache`].
+    /// Wraps a search algorithm choice.
     pub fn new(algo: SearchAlgo) -> PenaltySearch {
-        PenaltySearch {
-            algo,
-            pool: None,
-            cache_evaluations: false,
-        }
-    }
-
-    /// Runs DDS worker iterations on a shared long-lived pool. Bit-identical
-    /// to the spawning backend at any pool width (the per-logical-worker RNG
-    /// streams are independent of physical thread count).
-    #[must_use]
-    pub fn with_pool(mut self, pool: Option<Arc<WorkerPool>>) -> PenaltySearch {
-        self.pool = pool;
-        self
-    }
-
-    /// Memoizes objective evaluations per quantum, keyed by candidate point.
-    /// The objective is pure within a quantum, so cached scores are
-    /// bit-identical; hit/miss counts land in [`StageTelemetry`].
-    #[must_use]
-    pub fn with_evaluation_cache(mut self, on: bool) -> PenaltySearch {
-        self.cache_evaluations = on;
-        self
+        PenaltySearch { algo }
     }
 }
 
@@ -823,62 +877,24 @@ impl SearchStage for PenaltySearch {
         if active.is_empty() {
             return Ok(vec![lowest; ctx.num_batch]);
         }
-        let acct = account_for(ctx, preds, lc_configs);
-        let base_watts = acct.base_watts();
-        let bips = &preds.batch_bips;
-        let watts = &preds.batch_watts;
-        let lc_ways: f64 = lc_configs.iter().map(|c| c.cache.ways()).sum();
-        let num_active = active.len();
-        let jobs = active.clone();
-        let jobs_b = active.clone();
-        let jobs_c = active.clone();
-        let objective = SoftPenalty {
-            benefit: move |x: &[usize]| {
-                let log_sum: f64 = x
-                    .iter()
-                    .zip(&jobs)
-                    .map(|(&c, &j)| bips[j][c].max(1e-9).ln())
-                    .sum();
-                (log_sum / num_active as f64).exp()
-            },
-            power: move |x: &[usize]| {
-                base_watts
-                    + x.iter()
-                        .zip(&jobs_b)
-                        .map(|(&c, &j)| watts[j][c])
-                        .sum::<f64>()
-            },
-            cache_ways: move |x: &[usize]| {
-                lc_ways
-                    + x.iter()
-                        .map(|&c| JobConfig::from_index(c).cache.ways())
-                        .sum::<f64>()
-            },
-            max_power: ctx.info.cap_watts,
-            max_ways: 32.0,
-            penalty_power: 2.0,
-            penalty_cache: 2.0,
-        };
-        let space = SearchSpace::new(num_active, NUM_JOB_CONFIGS);
+        let objective = PenaltyTables::new(
+            &preds.batch_bips,
+            &preds.batch_watts,
+            &active,
+            account_for(ctx, preds, lc_configs).base_watts(),
+            lc_configs.iter().map(|c| c.cache.ways()).sum(),
+            ctx.info.cap_watts,
+        );
+        let space = SearchSpace::new(active.len(), NUM_JOB_CONFIGS);
         let result = match &self.algo {
-            SearchAlgo::Dds(params) => {
-                if self.cache_evaluations {
-                    let cached = CachedObjective::new(&objective);
-                    let result = parallel_search_in(self.pool.as_deref(), &space, &cached, params);
-                    tel.cache_hits += cached.hits();
-                    tel.cache_misses += cached.misses();
-                    result
-                } else {
-                    parallel_search_in(self.pool.as_deref(), &space, &objective, params)
-                }
-            }
+            SearchAlgo::Dds(params) => parallel_search(&space, &objective, params),
             SearchAlgo::Ga(params) => ga_search(&space, &objective, params),
         };
         tel.search_evaluations += result.evaluations;
         // Scatter the active-job point back to global batch indices;
         // departed slots carry a placeholder that stage 5 gates.
         let mut point = vec![lowest; ctx.num_batch];
-        for (slot, &j) in jobs_c.iter().enumerate() {
+        for (slot, &j) in active.iter().enumerate() {
             point[j] = result.best_point[slot];
         }
         Ok(point)

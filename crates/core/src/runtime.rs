@@ -86,21 +86,19 @@ use crate::types::{
 
 /// Performance knobs for the decision quantum's compute path.
 ///
-/// All three knobs change only *how fast* a quantum computes, never *what*
-/// it decides — with the one deliberate exception of warm-started
+/// Both knobs change only *how fast* a quantum computes, never *what* it
+/// decides — with the one deliberate exception of warm-started
 /// reconstruction, whose refined factors differ numerically from a cold
 /// solve (bounded by the property tests) and which therefore defaults to
 /// off.
 ///
 /// * **Worker pool** — long-lived threads reused across quanta instead of
-///   spawn-per-call. The pooled DDS backend is bit-identical to the
-///   spawning one at any pool width.
+///   spawn-per-call, serving reconstruction's parallel SGD solves. The DDS
+///   search runs its logical workers on the calling thread and does not
+///   use the pool.
 /// * **Warm start** — reconstruction keeps each quantum's factor models
 ///   and refines them with a short decayed-learning-rate schedule. State
 ///   invalidates on job churn and whenever the sanity gate trips.
-/// * **Evaluation cache** — DDS objective scores memoized per quantum,
-///   keyed by candidate point; bit-identical because the objective is pure
-///   within a quantum.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerfConfig {
     /// Threads in the shared worker pool. `0` disables the pool and
@@ -109,8 +107,6 @@ pub struct PerfConfig {
     /// Warm-started reconstruction schedule; `None` cold-starts every
     /// quantum.
     pub warm_start: Option<WarmStartConfig>,
-    /// Memoize DDS objective evaluations within each quantum.
-    pub evaluation_cache: bool,
 }
 
 impl Default for PerfConfig {
@@ -118,21 +114,19 @@ impl Default for PerfConfig {
         PerfConfig {
             pool_threads: WorkerPool::default_threads(),
             warm_start: None,
-            evaluation_cache: true,
         }
     }
 }
 
 impl PerfConfig {
-    /// The legacy compute path: spawn-per-quantum threads, cold-started
-    /// reconstruction, uncached evaluations. The baseline the
-    /// `decision_loop` bench compares against.
+    /// The legacy compute path: spawn-per-quantum threads and cold-started
+    /// reconstruction. The baseline the `decision_loop` bench compares
+    /// against.
     #[must_use]
     pub fn cold() -> PerfConfig {
         PerfConfig {
             pool_threads: 0,
             warm_start: None,
-            evaluation_cache: false,
         }
     }
 
@@ -157,13 +151,6 @@ impl PerfConfig {
     #[must_use]
     pub fn with_warm_start(mut self, warm: bool) -> PerfConfig {
         self.warm_start = warm.then(WarmStartConfig::default);
-        self
-    }
-
-    /// Enables or disables the per-quantum DDS evaluation cache.
-    #[must_use]
-    pub fn with_evaluation_cache(mut self, cache: bool) -> PerfConfig {
-        self.evaluation_cache = cache;
         self
     }
 
@@ -271,18 +258,14 @@ impl CuttleSysManager {
 
     /// Rebuilds the reconstruct and search stages from the stored
     /// configuration, so every `with_*` builder keeps the perf wiring
-    /// (pool, warm start, cache) intact.
+    /// (pool, warm start) intact.
     fn rebuild_stages(&mut self) {
         self.pipeline.reconstruct = Box::new(
             CfReconstruct::new(self.reconstructor)
                 .with_pool(self.pool.clone())
                 .with_warm_start(self.perf.warm_start),
         );
-        self.pipeline.search = Box::new(
-            PenaltySearch::new(self.search_algo.clone())
-                .with_pool(self.pool.clone())
-                .with_evaluation_cache(self.perf.evaluation_cache),
-        );
+        self.pipeline.search = Box::new(PenaltySearch::new(self.search_algo.clone()));
     }
 
     /// Substitutes the search algorithm (used by the Fig. 10 GA ablation).
@@ -674,27 +657,8 @@ mod tests {
         assert!(summary.mean_total_wall_ms() > 0.0);
     }
 
-    /// Zeroes the fields that legitimately differ between perf paths —
-    /// wall-clock stage times and cache counters — leaving every decision
-    /// output and deterministic counter intact.
-    fn comparable(record: &crate::types::RunRecord) -> crate::types::RunRecord {
-        let mut r = record.clone();
-        for s in &mut r.slices {
-            if let Some(t) = &mut s.telemetry {
-                t.profile_wall_ms = 0.0;
-                t.reconstruct_wall_ms = 0.0;
-                t.qos_wall_ms = 0.0;
-                t.search_wall_ms = 0.0;
-                t.repair_wall_ms = 0.0;
-                t.cache_hits = 0;
-                t.cache_misses = 0;
-            }
-        }
-        r
-    }
-
     #[test]
-    fn pool_and_cache_are_numerically_invisible() {
+    fn pool_is_numerically_invisible() {
         let scenario = quick(0.7, 0.8);
         let pooled = {
             let mut m = CuttleSysManager::for_scenario(&scenario);
@@ -704,7 +668,7 @@ mod tests {
             let mut m = CuttleSysManager::for_scenario(&scenario).with_perf(PerfConfig::cold());
             run_scenario(&scenario, &mut m)
         };
-        assert_eq!(comparable(&pooled), comparable(&cold));
+        assert_eq!(pooled.comparable(), cold.comparable());
     }
 
     #[test]

@@ -728,8 +728,7 @@ impl RunRecord {
             .fold(0.0, f64::max)
     }
 
-    /// The record with wall-clock stage timings (and the
-    /// wall-clock-budgeted cache counters) zeroed, so runs compare on
+    /// The record with wall-clock stage timings zeroed, so runs compare on
     /// simulated quantities only — the convention every determinism test in
     /// this workspace uses (`service::comparable` delegates here).
     pub fn comparable(mut self) -> RunRecord {
@@ -740,8 +739,6 @@ impl RunRecord {
                 t.qos_wall_ms = 0.0;
                 t.search_wall_ms = 0.0;
                 t.repair_wall_ms = 0.0;
-                t.cache_hits = 0;
-                t.cache_misses = 0;
             }
         }
         self

@@ -14,10 +14,10 @@
 //! and cache budgets. The crate provides:
 //!
 //! * [`serial`] — the reference single-threaded DDS;
-//! * [`parallel`] — the paper's parallel DDS (Alg. 2): thread groups with
+//! * [`parallel`] — the paper's parallel DDS (Alg. 2): worker groups with
 //!   perturbation radii `r = [0.2, 0.3, 0.4, 0.5]`, `pointsPerIteration`
-//!   candidates per thread per round, and a barrier-synchronized global-best
-//!   exchange;
+//!   candidates per worker per round, and a worker-ordered global-best
+//!   exchange, with the logical workers run inline on the calling thread;
 //! * [`objective`] — the objective abstraction and the soft-penalty
 //!   combinator of §VI-A.
 //!
@@ -39,8 +39,8 @@ pub mod parallel;
 pub mod rng;
 pub mod serial;
 
-pub use objective::{CachedObjective, Objective, SoftPenalty};
-pub use parallel::{parallel_search, parallel_search_in, ParallelDdsParams};
+pub use objective::{Objective, SoftPenalty};
+pub use parallel::{parallel_search, ParallelDdsParams};
 pub use serial::{search, DdsParams};
 
 use serde::{Deserialize, Serialize};

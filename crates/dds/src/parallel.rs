@@ -1,32 +1,24 @@
 //! Parallel DDS — the paper's Alg. 2.
 //!
-//! `N` worker threads share a global best point. Each iteration, every
-//! thread generates `pointsPerIteration` candidates by perturbing the global
-//! best, keeps its local best, and a synchronized reduction installs the
-//! best local best as the next global best. To stop the threads from
-//! exploring the same neighbourhood, thread groups use different perturbation
-//! radii: the first quarter uses `r₁`, the next `r₂`, and so on
-//! (`r = [0.2, 0.3, 0.4, 0.5]`, Fig. 6).
+//! `N` logical workers share a global best point. Each iteration, every
+//! worker generates `pointsPerIteration` candidates by perturbing the global
+//! best, keeps its local best, and a reduction installs the best local best
+//! as the next global best. To stop the workers from exploring the same
+//! neighbourhood, worker groups use different perturbation radii: the first
+//! quarter uses `r₁`, the next `r₂`, and so on (`r = [0.2, 0.3, 0.4, 0.5]`,
+//! Fig. 6).
 //!
-//! Two execution back-ends produce bit-identical results:
-//!
-//! * [`parallel_search`] spawns one scoped OS thread per logical worker and
-//!   synchronizes iterations with a barrier — the original shape, kept as
-//!   the reference implementation;
-//! * [`parallel_search_in`] with a [`WorkerPool`] keeps the iteration loop
-//!   on the calling thread and fans each iteration's per-worker candidate
-//!   batches out to the pool. Per-worker RNG streams persist across
-//!   iterations and the reduction runs on the orchestrator in worker-index
-//!   order, so the result does not depend on the pool's physical width —
-//!   a 1-thread pool and an 8-thread pool return the same answer as the
-//!   spawning back-end.
-
-use std::sync::{Barrier, Mutex};
+//! The logical workers run inline on the calling thread, in worker-index
+//! order. Each keeps its own RNG stream across iterations, and the
+//! reduction runs in worker-index order, so the result is exactly the
+//! paper's synchronous parallel round. A fan-out to threads was measured
+//! and dropped: one 16-dimensional search is under 2 ms of work, split
+//! into 40 short iterations, and a per-iteration fork/join to a 2-thread
+//! pool was no faster (DESIGN.md, "Search scoring").
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
-use util::WorkerPool;
 
 use crate::objective::Objective;
 use crate::rng::standard_normal;
@@ -44,8 +36,9 @@ pub struct ParallelDdsParams {
     pub points_per_iteration: usize,
     /// Number of uniformly random starting points (Fig. 6: 50).
     pub initial_points: usize,
-    /// Logical worker threads; the paper uses one per core. With a pool
-    /// back-end this is the number of RNG streams, not OS threads.
+    /// Logical workers; the paper uses one thread per core. They run on the
+    /// calling thread, so this is the number of RNG streams and radii, not
+    /// OS threads.
     pub threads: usize,
     /// RNG seed.
     pub seed: u64,
@@ -67,11 +60,6 @@ impl Default for ParallelDdsParams {
     }
 }
 
-struct Shared {
-    best_point: Vec<usize>,
-    best_value: f64,
-}
-
 /// Evaluated points, in evaluation order (only filled when
 /// `record_explored` is set).
 type ExploredLog = Vec<(Vec<usize>, f64)>;
@@ -91,7 +79,7 @@ fn validate(params: &ParallelDdsParams) {
 }
 
 /// Phase 1 (Alg. 2 lines 5-6): random initial points, best becomes the
-/// incumbent. Done serially — it is a tiny fraction of the work.
+/// incumbent.
 fn initial_phase(
     space: &SearchSpace,
     objective: &dyn Objective,
@@ -130,56 +118,76 @@ fn worker_radius(params: &ParallelDdsParams, t: usize) -> f64 {
     params.r_values[group.min(params.r_values.len() - 1)]
 }
 
-/// One logical worker's share of one iteration: `points_per_iteration`
-/// candidates perturbed from the global best, greedily keeping the local
-/// best. Shared verbatim by both back-ends so they cannot drift apart.
-#[allow(clippy::too_many_arguments)]
-fn worker_iteration(
-    space: &SearchSpace,
-    objective: &dyn Objective,
-    params: &ParallelDdsParams,
-    free: &[usize],
+/// One logical worker of Alg. 2: its own RNG stream and radius, plus the
+/// local best and candidate buffers it reuses across iterations.
+struct Worker {
+    rng: StdRng,
     r: f64,
-    p_select: f64,
-    global_point: &[usize],
-    global_value: f64,
-    rng: &mut StdRng,
-    explored: &mut Vec<(Vec<usize>, f64)>,
-) -> (Vec<usize>, f64) {
-    let mut local_point = global_point.to_vec();
-    let mut local_value = global_value;
-    for _ in 0..params.points_per_iteration {
-        let mut candidate = local_point.clone();
-        let mut perturbed_any = false;
-        for &d in free {
-            if rng.random_range(0.0..1.0) < p_select {
-                let delta = r * space.num_choices() as f64 * standard_normal(rng);
-                candidate[d] = space.reflect(candidate[d] as f64 + delta);
-                perturbed_any = true;
-            }
-        }
-        if !perturbed_any && !free.is_empty() {
-            let d = free[rng.random_range(0..free.len())];
-            let delta = r * space.num_choices() as f64 * standard_normal(rng);
-            candidate[d] = space.reflect(candidate[d] as f64 + delta);
-        }
-        let v = objective.evaluate(&candidate);
-        if params.record_explored {
-            explored.push((candidate.clone(), v));
-        }
-        if v > local_value {
-            local_value = v;
-            local_point = candidate;
-        }
-    }
-    (local_point, local_value)
+    local_point: Vec<usize>,
+    local_value: f64,
+    candidate: Vec<usize>,
+    explored: ExploredLog,
 }
 
-/// Runs parallel DDS (Alg. 2), maximizing `objective` over `space`, with
-/// one scoped OS thread per logical worker.
+impl Worker {
+    fn new(params: &ParallelDdsParams, t: usize, dims: usize) -> Worker {
+        Worker {
+            rng: StdRng::seed_from_u64(worker_seed(params.seed, t)),
+            r: worker_radius(params, t),
+            local_point: vec![0; dims],
+            local_value: f64::NEG_INFINITY,
+            candidate: vec![0; dims],
+            explored: Vec::new(),
+        }
+    }
+
+    /// One iteration's share: `points_per_iteration` candidates perturbed
+    /// from the global best, greedily keeping the local best.
+    fn iterate(
+        &mut self,
+        space: &SearchSpace,
+        objective: &dyn Objective,
+        params: &ParallelDdsParams,
+        free: &[usize],
+        p_select: f64,
+        global: (&[usize], f64),
+    ) {
+        let rng = &mut self.rng;
+        let scale = self.r * space.num_choices() as f64;
+        self.local_point.copy_from_slice(global.0);
+        self.local_value = global.1;
+        for _ in 0..params.points_per_iteration {
+            let candidate = &mut self.candidate;
+            candidate.copy_from_slice(&self.local_point);
+            let mut perturbed_any = false;
+            for &d in free {
+                if rng.random_range(0.0..1.0) < p_select {
+                    let delta = scale * standard_normal(rng);
+                    candidate[d] = space.reflect(candidate[d] as f64 + delta);
+                    perturbed_any = true;
+                }
+            }
+            if !perturbed_any && !free.is_empty() {
+                let d = free[rng.random_range(0..free.len())];
+                let delta = scale * standard_normal(rng);
+                candidate[d] = space.reflect(candidate[d] as f64 + delta);
+            }
+            let v = objective.evaluate(candidate);
+            if params.record_explored {
+                self.explored.push((candidate.clone(), v));
+            }
+            if v > self.local_value {
+                self.local_value = v;
+                std::mem::swap(&mut self.local_point, &mut self.candidate);
+            }
+        }
+    }
+}
+
+/// Runs parallel DDS (Alg. 2), maximizing `objective` over `space`.
 ///
-/// Deterministic for a fixed seed: candidate generation is seeded per
-/// (thread, iteration) and the reduction breaks ties by thread index.
+/// Deterministic for a fixed seed: every logical worker draws from its own
+/// RNG stream, and the reduction breaks ties by worker index.
 ///
 /// # Panics
 ///
@@ -191,157 +199,41 @@ pub fn parallel_search(
     params: &ParallelDdsParams,
 ) -> SearchResult {
     validate(params);
-    let (best_point, best_value, initial_explored) = initial_phase(space, objective, params);
-
-    let shared = Mutex::new(Shared {
-        best_point,
-        best_value,
-    });
-    let barrier = Barrier::new(params.threads);
-    let free = space.free_dims();
-    let ln_max = (params.max_iters as f64).ln().max(f64::MIN_POSITIVE);
-    // Local bests posted by each thread every iteration, reduced by thread 0.
-    type Post = Mutex<Option<(Vec<usize>, f64)>>;
-    let posts: Vec<Post> = (0..params.threads).map(|_| Mutex::new(None)).collect();
-    // Per-thread explored logs, concatenated in thread order afterwards so
-    // the record is deterministic despite the concurrent evaluation.
-    let mut explored_parts: Vec<Vec<(Vec<usize>, f64)>> = vec![Vec::new(); params.threads];
-
-    // lint:allow(DET-RAW-SPAWN, reason = "reference spawn-per-call back-end kept as the cross-check for the pooled back-end; tests/determinism.rs pins both to identical bits")
-    crossbeam::scope(|scope| {
-        for (t, part) in explored_parts.iter_mut().enumerate() {
-            let (shared, barrier, posts, free) = (&shared, &barrier, &posts, &free);
-            let params = &params;
-            scope.spawn(move |_| {
-                let r = worker_radius(params, t);
-                let mut rng = StdRng::seed_from_u64(worker_seed(params.seed, t));
-                for i in 1..=params.max_iters {
-                    let (global_point, global_value) = {
-                        // lint:allow(PANIC-POLICY, reason = "lock poisoning means a sibling worker already panicked; propagating tears down the scope, which the breaker absorbs")
-                        let g = shared.lock().unwrap();
-                        (g.best_point.clone(), g.best_value)
-                    };
-                    let p_select = 1.0 - (i as f64).ln() / ln_max;
-                    let local = worker_iteration(
-                        space,
-                        objective,
-                        params,
-                        free,
-                        r,
-                        p_select,
-                        &global_point,
-                        global_value,
-                        &mut rng,
-                        part,
-                    );
-                    // lint:allow(PANIC-POLICY, reason = "poisoned post slot means a sibling panicked; propagate")
-                    *posts[t].lock().unwrap() = Some(local);
-                    barrier.wait();
-                    if t == 0 {
-                        // lint:allow(PANIC-POLICY, reason = "poisoned global best means a sibling panicked; propagate")
-                        let mut g = shared.lock().unwrap();
-                        for post in posts.iter() {
-                            // lint:allow(PANIC-POLICY, reason = "poisoned post slot means a sibling panicked; propagate")
-                            if let Some((p, v)) = post.lock().unwrap().take() {
-                                if v > g.best_value {
-                                    g.best_value = v;
-                                    g.best_point = p;
-                                }
-                            }
-                        }
-                    }
-                    barrier.wait();
-                }
-            });
-        }
-    })
-    // Documented panic: a worker panic is a search-stage fault, and the
-    // decision pipeline's circuit breaker catches it at the stage boundary.
-    // lint:allow(PANIC-POLICY, reason = "worker panic surfaces as a stage fault for the circuit breaker; swallowing it would return a half-reduced best")
-    .expect("parallel DDS worker panicked");
-
-    // lint:allow(PANIC-POLICY, reason = "into_inner after the scope joined every worker; poisoning is impossible unless a panic already propagated above")
-    let g = shared.into_inner().unwrap();
-    let mut explored = initial_explored;
-    explored.extend(util::reduce::ordered_concat(explored_parts));
-    SearchResult {
-        best_point: g.best_point,
-        best_value: g.best_value,
-        evaluations: params.initial_points
-            + params.max_iters * params.points_per_iteration * params.threads,
-        explored,
-    }
-}
-
-/// Runs parallel DDS on an execution back-end: `Some(pool)` dispatches each
-/// iteration's logical workers to the persistent pool, `None` falls back to
-/// [`parallel_search`]'s spawn-per-call threads.
-///
-/// Bit-identical to [`parallel_search`] for the same `params`, whatever the
-/// pool's physical thread count: per-worker RNG streams live on the
-/// orchestrator across iterations, and the reduction happens on the
-/// orchestrator in worker-index order.
-pub fn parallel_search_in(
-    pool: Option<&WorkerPool>,
-    space: &SearchSpace,
-    objective: &dyn Objective,
-    params: &ParallelDdsParams,
-) -> SearchResult {
-    let Some(pool) = pool else {
-        return parallel_search(space, objective, params);
-    };
-    validate(params);
-    let (mut best_point, mut best_value, initial_explored) =
-        initial_phase(space, objective, params);
+    let (mut best_point, mut best_value, mut explored) = initial_phase(space, objective, params);
 
     let free = space.free_dims();
     let ln_max = (params.max_iters as f64).ln().max(f64::MIN_POSITIVE);
-    // Logical-worker state persists across iterations on the orchestrator.
-    let mut rngs: Vec<StdRng> = (0..params.threads)
-        .map(|t| StdRng::seed_from_u64(worker_seed(params.seed, t)))
+    let mut workers: Vec<Worker> = (0..params.threads)
+        .map(|t| Worker::new(params, t, space.dims()))
         .collect();
-    let radii: Vec<f64> = (0..params.threads)
-        .map(|t| worker_radius(params, t))
-        .collect();
-    let mut explored_parts: Vec<Vec<(Vec<usize>, f64)>> = vec![Vec::new(); params.threads];
 
     for i in 1..=params.max_iters {
         let p_select = 1.0 - (i as f64).ln() / ln_max;
-        let global_point = best_point.clone();
-        let global_value = best_value;
-        let mut locals: Vec<(Vec<usize>, f64)> =
-            vec![(Vec::new(), f64::NEG_INFINITY); params.threads];
-        pool.scope(|scope| {
-            let worker_state = locals
-                .iter_mut()
-                .zip(rngs.iter_mut())
-                .zip(explored_parts.iter_mut())
-                .zip(radii.iter());
-            for (((slot, rng), part), &r) in worker_state {
-                let (global_point, free, params) = (&global_point, &free, &params);
-                scope.spawn(move || {
-                    *slot = worker_iteration(
-                        space,
-                        objective,
-                        params,
-                        free,
-                        r,
-                        p_select,
-                        global_point,
-                        global_value,
-                        rng,
-                        part,
-                    );
-                });
-            }
-        });
-        // Reduction in worker-index order, exactly like thread 0's pass over
-        // the posts in the spawning back-end.
-        (best_point, best_value) = util::reduce::ordered_best(locals, (best_point, best_value));
+        for worker in &mut workers {
+            worker.iterate(
+                space,
+                objective,
+                params,
+                &free,
+                p_select,
+                (&best_point, best_value),
+            );
+        }
+        // Every worker perturbed the same global best; the reduction then
+        // installs the best local best, ties to the lowest worker index.
+        let locals = workers
+            .iter()
+            .enumerate()
+            .map(|(t, w)| (Some(t), w.local_value));
+        if let (Some(t), value) = util::reduce::ordered_best(locals, (None, best_value)) {
+            best_point.copy_from_slice(&workers[t].local_point);
+            best_value = value;
+        }
     }
 
-    let mut explored = initial_explored;
-    explored.extend(util::reduce::ordered_concat(explored_parts));
+    explored.extend(util::reduce::ordered_concat(
+        workers.into_iter().map(|w| w.explored),
+    ));
     SearchResult {
         best_point,
         best_value,
@@ -395,40 +287,6 @@ mod tests {
         let a = parallel_search(&space, &separable(30), &params);
         let b = parallel_search(&space, &separable(30), &params);
         assert_eq!(a.best_point, b.best_point);
-    }
-
-    #[test]
-    fn pooled_backend_is_bit_identical_to_spawning_backend() {
-        let space = SearchSpace::new(10, 108);
-        let params = ParallelDdsParams {
-            threads: 4,
-            record_explored: true,
-            ..ParallelDdsParams::default()
-        };
-        let objective = separable(66);
-        let spawned = parallel_search(&space, &objective, &params);
-        for pool_width in [1, 2, 8] {
-            let pool = WorkerPool::new(pool_width);
-            let pooled = parallel_search_in(Some(&pool), &space, &objective, &params);
-            assert_eq!(pooled.best_point, spawned.best_point);
-            assert_eq!(pooled.best_value.to_bits(), spawned.best_value.to_bits());
-            assert_eq!(pooled.evaluations, spawned.evaluations);
-            assert_eq!(pooled.explored, spawned.explored);
-        }
-    }
-
-    #[test]
-    fn parallel_search_in_without_pool_matches_spawning_backend() {
-        let space = SearchSpace::new(6, 50);
-        let params = ParallelDdsParams {
-            threads: 2,
-            ..ParallelDdsParams::default()
-        };
-        let objective = separable(25);
-        let direct = parallel_search(&space, &objective, &params);
-        let via_none = parallel_search_in(None, &space, &objective, &params);
-        assert_eq!(direct.best_point, via_none.best_point);
-        assert_eq!(direct.best_value.to_bits(), via_none.best_value.to_bits());
     }
 
     #[test]
@@ -491,5 +349,79 @@ mod tests {
         };
         let result = parallel_search(&space, &separable(10), &params);
         assert!(space.contains(&result.best_point));
+    }
+
+    /// FNV-1a over every explored point and the bits of its value.
+    fn explored_digest(explored: &[(Vec<usize>, f64)]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |x: u64| {
+            for b in x.to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for (point, value) in explored {
+            for &v in point {
+                eat(v as u64);
+            }
+            eat(value.to_bits());
+        }
+        h
+    }
+
+    /// Pins the search's exact output, recorded from the thread-spawning
+    /// and pooled back-ends this inline implementation replaced (the two
+    /// agreed bit for bit at every pool width). Any change to candidate
+    /// generation, RNG streams, radii or the reduction shows here.
+    #[test]
+    fn inline_workers_match_the_pinned_threaded_results() {
+        let mut space = SearchSpace::new(12, 108);
+        space.freeze(3, 17);
+        space.freeze(11, 90);
+        let objective = |x: &[usize]| {
+            x.iter()
+                .enumerate()
+                .map(|(d, &v)| {
+                    (v as f64 * (0.07 + 0.01 * d as f64)).sin() - (v as f64 - 60.0).abs() / 40.0
+                })
+                .sum::<f64>()
+        };
+        let pins: [(usize, [usize; 12], u64, usize, u64); 3] = [
+            (
+                1,
+                [107, 23, 82, 17, 68, 63, 60, 57, 53, 52, 82, 90],
+                0x4011_38c6_c24c_0564,
+                450,
+                0x85a5_e105_24ea_d2aa,
+            ),
+            (
+                4,
+                [26, 94, 83, 17, 70, 65, 60, 57, 53, 51, 47, 90],
+                0x4014_025b_016f_8502,
+                1650,
+                0x185b_85d7_a70c_9211,
+            ),
+            (
+                8,
+                [28, 95, 84, 17, 69, 64, 60, 57, 53, 50, 47, 90],
+                0x4014_24b9_4c86_08ca,
+                3250,
+                0x9d1c_73e2_d1ae_abe8,
+            ),
+        ];
+        for (threads, point, value_bits, evaluations, digest) in pins {
+            let params = ParallelDdsParams {
+                threads,
+                seed: 0xC0FFEE,
+                record_explored: true,
+                ..ParallelDdsParams::default()
+            };
+            let r = parallel_search(&space, &objective, &params);
+            assert_eq!(r.best_point, point, "threads={threads}");
+            assert_eq!(r.best_value.to_bits(), value_bits, "threads={threads}");
+            assert_eq!(r.evaluations, evaluations, "threads={threads}");
+            assert_eq!(r.explored.len(), evaluations, "threads={threads}");
+            assert_eq!(explored_digest(&r.explored), digest, "threads={threads}");
+        }
     }
 }

@@ -73,8 +73,8 @@ pub fn fit_parallel(matrix: &RatingMatrix, config: &SgdConfig, threads: usize) -
 ///
 /// The work split is by logical worker index either way, so the *model* of
 /// parallelism is unchanged — but HOGWILD results are inherently racy, so
-/// unlike the DDS back-ends the two paths are statistically equivalent, not
-/// bit-identical (and neither is `fit_parallel` with itself).
+/// the two paths are statistically equivalent, not bit-identical (and
+/// neither is `fit_parallel` with itself).
 ///
 /// # Panics
 ///

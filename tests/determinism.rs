@@ -1,13 +1,12 @@
 //! Determinism regression tests for the perf-path machinery.
 //!
-//! The worker pool, the DDS evaluation cache, and the pooled reconstruction
-//! fan-out must all be *scheduling-invisible*: the same seed and scenario
-//! produce a bit-identical [`RunRecord`] whether the pool is 1, 2, or 8
-//! threads wide, or absent entirely (the legacy spawn-per-quantum path).
-//! This holds because every parallel decision path is serial-equivalent by
-//! construction — DDS keeps one RNG stream per *logical* worker and reduces
-//! in worker order, the reconstruction fan-out writes to disjoint slots,
-//! and cache hits return the bit-identical `f64` of the first evaluation.
+//! The worker pool and the pooled reconstruction fan-out must be
+//! *scheduling-invisible*: the same seed and scenario produce a
+//! bit-identical [`RunRecord`] whether the pool is 1, 2, or 8 threads wide,
+//! or absent entirely (the legacy spawn-per-quantum path). This holds
+//! because the reconstruction fan-out writes to disjoint slots, and DDS runs
+//! its logical workers on the calling thread, one RNG stream each, reduced
+//! in worker order.
 //!
 //! The one intentional exception is HOGWILD SGD (`Reconstructor::parallel`
 //! with more than one thread): its lock-free racy updates make the solve
@@ -32,24 +31,6 @@ fn scenario() -> Scenario {
     .with_load(LoadPattern::Constant(0.8))
 }
 
-/// Zeroes the only legitimately scheduling-dependent telemetry: host
-/// wall-clock stage times, and the cache hit/miss split (two threads racing
-/// on the same fresh point both count a miss; the values stay identical).
-fn comparable(mut r: RunRecord) -> RunRecord {
-    for slice in &mut r.slices {
-        if let Some(t) = &mut slice.telemetry {
-            t.profile_wall_ms = 0.0;
-            t.reconstruct_wall_ms = 0.0;
-            t.qos_wall_ms = 0.0;
-            t.search_wall_ms = 0.0;
-            t.repair_wall_ms = 0.0;
-            t.cache_hits = 0;
-            t.cache_misses = 0;
-        }
-    }
-    r
-}
-
 fn run_with(perf: PerfConfig) -> RunRecord {
     let s = scenario();
     let mut manager = CuttleSysManager::for_scenario(&s).with_perf(perf);
@@ -58,12 +39,13 @@ fn run_with(perf: PerfConfig) -> RunRecord {
 
 #[test]
 fn run_records_are_bit_identical_across_pool_widths() {
-    let reference = comparable(run_with(PerfConfig::cold()));
+    let reference = run_with(PerfConfig::cold()).comparable();
     for threads in [1, 2, 8] {
-        let pooled = comparable(run_with(PerfConfig {
+        let pooled = run_with(PerfConfig {
             pool_threads: threads,
             ..PerfConfig::default()
-        }));
+        })
+        .comparable();
         assert_eq!(
             reference, pooled,
             "pool width {threads} changed a decision output"
@@ -76,15 +58,17 @@ fn warm_started_runs_are_reproducible_at_any_pool_width() {
     // Warm start intentionally differs *from the cold path*; it must still
     // be bit-for-bit reproducible with itself at every pool width, because
     // the warm solves are serial and the fan-out is slot-disjoint.
-    let reference = comparable(run_with(PerfConfig {
+    let reference = run_with(PerfConfig {
         pool_threads: 1,
         ..PerfConfig::fast()
-    }));
+    })
+    .comparable();
     for threads in [2, 8] {
-        let pooled = comparable(run_with(PerfConfig {
+        let pooled = run_with(PerfConfig {
             pool_threads: threads,
             ..PerfConfig::fast()
-        }));
+        })
+        .comparable();
         assert_eq!(
             reference, pooled,
             "warm start at pool width {threads} changed a decision output"

@@ -229,12 +229,10 @@ fn reflection_maps_any_value_into_range() {
 }
 
 /// Pinned-LC constraints reach DDS as frozen dimensions: no point the
-/// search returns — or even evaluates — may move them, on either the
-/// spawning or the pooled backend.
+/// search returns — or even evaluates — may move them.
 #[test]
-fn parallel_dds_honors_frozen_dimensions_pooled_and_unpooled() {
-    let mut rng = rng_for("parallel_dds_honors_frozen_dimensions_pooled_and_unpooled");
-    let pool = util::WorkerPool::new(2);
+fn parallel_dds_honors_frozen_dimensions() {
+    let mut rng = rng_for("parallel_dds_honors_frozen_dimensions");
     for _ in 0..CASES / 16 {
         let dims = rng.random_range(2..8);
         let choices = rng.random_range(2..30);
@@ -252,17 +250,17 @@ fn parallel_dds_honors_frozen_dimensions_pooled_and_unpooled() {
             max_iters: 10,
             initial_points: 4,
             seed: rng.random_range(0..1000) as u64,
+            threads: rng.random_range(1..9),
             record_explored: true,
             ..Default::default()
         };
-        for pool in [None, Some(&pool)] {
-            let result = dds::parallel_search_in(pool, &space, &objective, &params);
-            assert!(space.contains(&result.best_point));
-            for (point, _) in &result.explored {
-                assert!(space.contains(point), "explored point escaped the space");
-                for &(d, v) in &frozen {
-                    assert_eq!(point[d], v, "frozen dimension {d} moved");
-                }
+        let result = dds::parallel_search(&space, &objective, &params);
+        assert!(space.contains(&result.best_point));
+        assert_eq!(result.explored.len(), result.evaluations);
+        for (point, _) in &result.explored {
+            assert!(space.contains(point), "explored point escaped the space");
+            for &(d, v) in &frozen {
+                assert_eq!(point[d], v, "frozen dimension {d} moved");
             }
         }
     }
@@ -319,7 +317,7 @@ fn overwhelming_penalty_never_prefers_an_infeasible_plan() {
             record_explored: true,
             ..Default::default()
         };
-        let result = dds::parallel_search_in(None, &space, &objective, &params);
+        let result = dds::parallel_search(&space, &objective, &params);
         let any_feasible = result
             .explored
             .iter()
@@ -331,36 +329,91 @@ fn overwhelming_penalty_never_prefers_an_infeasible_plan() {
     }
 }
 
-/// The evaluation cache must be numerically invisible: over a thousand
-/// random candidates (drawn with repeats so hits occur), every cached score
-/// is bit-identical to the uncached objective's.
+/// Stage 4 scores candidates from per-quantum tables. Every score must
+/// carry the same bits as the closure form it replaced, which takes a `ln`
+/// per job on every evaluation: on random predictions, including BIPS at
+/// or below the 1e-9 clamp, power over the cap and LLC ways over 32.
 #[test]
-fn evaluation_cache_scores_are_bit_identical_to_uncached() {
+fn penalty_tables_score_bit_identically_to_the_closure_form() {
     use dds::Objective;
-    let mut rng = rng_for("evaluation_cache_scores_are_bit_identical_to_uncached");
-    let dims = 6;
-    let choices = 10;
-    let objective = |x: &[usize]| {
-        x.iter()
-            .enumerate()
-            .map(|(d, &c)| ((c * 31 + d * 7) as f64).sin() * (c as f64 + 0.5).ln())
-            .sum::<f64>()
-    };
-    let cached = dds::CachedObjective::new(&objective);
-    // A small pool of distinct points sampled 1000 times forces both cold
-    // misses and hot hits through the comparison.
-    let pool: Vec<Vec<usize>> = (0..100)
-        .map(|_| (0..dims).map(|_| rng.random_range(0..choices)).collect())
-        .collect();
-    for _ in 0..1000 {
-        let point = &pool[rng.random_range(0..pool.len())];
-        assert_eq!(
-            cached.evaluate(point).to_bits(),
-            objective.evaluate(point).to_bits(),
-            "cached score diverged at {point:?}"
+    let mut rng = rng_for("penalty_tables_score_bit_identically_to_the_closure_form");
+    let (mut clamped, mut over_cap, mut over_ways) = (0, 0, 0);
+    for _ in 0..CASES {
+        let num_batch = rng.random_range(1..20);
+        let row = |rng: &mut StdRng, scale: f64| -> Vec<f64> {
+            (0..NUM_JOB_CONFIGS)
+                .map(|_| match rng.random_range(0..10) {
+                    0 => 0.0,
+                    1 => 1e-9,
+                    2 => rng.random_range(-1.0..1e-9),
+                    _ => rng.random_range(0.0..scale),
+                })
+                .collect()
+        };
+        let bips: Vec<Vec<f64>> = (0..num_batch).map(|_| row(&mut rng, 4.0)).collect();
+        let watts: Vec<Vec<f64>> = (0..num_batch).map(|_| row(&mut rng, 6.0)).collect();
+        let mut active: Vec<usize> = (0..num_batch)
+            .filter(|_| rng.random_range(0.0..1.0) < 0.8)
+            .collect();
+        if active.is_empty() {
+            active.push(num_batch - 1);
+        }
+        let base_watts = rng.random_range(0.0..80.0);
+        let lc_ways = rng.random_range(0.0..30.0);
+        let cap_watts = rng.random_range(20.0..120.0);
+        let tables = cuttlesys::pipeline::PenaltyTables::new(
+            &bips, &watts, &active, base_watts, lc_ways, cap_watts,
         );
+        let (jobs, jobs_b) = (&active, &active);
+        let (bips_r, watts_r) = (&bips, &watts);
+        let closure_form = dds::SoftPenalty {
+            benefit: move |x: &[usize]| {
+                let log_sum: f64 = x
+                    .iter()
+                    .zip(jobs)
+                    .map(|(&c, &j)| bips_r[j][c].max(1e-9).ln())
+                    .sum();
+                (log_sum / jobs.len() as f64).exp()
+            },
+            power: move |x: &[usize]| {
+                base_watts
+                    + x.iter()
+                        .zip(jobs_b)
+                        .map(|(&c, &j)| watts_r[j][c])
+                        .sum::<f64>()
+            },
+            cache_ways: move |x: &[usize]| {
+                lc_ways
+                    + x.iter()
+                        .map(|&c| JobConfig::from_index(c).cache.ways())
+                        .sum::<f64>()
+            },
+            max_power: cap_watts,
+            max_ways: 32.0,
+            penalty_power: 2.0,
+            penalty_cache: 2.0,
+        };
+        for _ in 0..32 {
+            let x: Vec<usize> = (0..active.len())
+                .map(|_| rng.random_range(0..NUM_JOB_CONFIGS))
+                .collect();
+            assert_eq!(
+                tables.evaluate(&x).to_bits(),
+                closure_form.evaluate(&x).to_bits(),
+                "table score diverged at {x:?}"
+            );
+            clamped += usize::from(x.iter().zip(jobs).any(|(&c, &j)| bips[j][c] <= 1e-9));
+            over_cap += usize::from((closure_form.power)(&x) > cap_watts);
+            over_ways += usize::from((closure_form.cache_ways)(&x) > 32.0);
+        }
     }
-    assert!(cached.hits() >= 900, "repeated candidates must hit");
+    for (regime, hits) in [
+        ("clamped bips", clamped),
+        ("power over the cap", over_cap),
+        ("ways over 32", over_ways),
+    ] {
+        assert!(hits > 100, "{regime} exercised only {hits} times");
+    }
 }
 
 /// Warm-started SGD may never train materially worse than a cold solve on

@@ -68,7 +68,7 @@ fn unknown_override_key_is_a_hard_error_listing_valid_keys() {
     assert_eq!(
         load_err(&text),
         "unknown override key \"perf.pool_threds\"; valid keys are: \
-         perf.evaluation_cache, perf.pool_threads, perf.warm_start, \
+         perf.pool_threads, perf.warm_start, \
          resilience.breaker_close_after, resilience.breaker_open_after, \
          resilience.breaker_probe_interval, resilience.deadline_ms, \
          resilience.max_bips, resilience.max_tail_ms, resilience.max_watts, \
